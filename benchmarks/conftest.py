@@ -10,7 +10,7 @@ Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``--exec-tier interp|compiled|auto`` pins the device engine's execution
+``--exec-tier interp|compiled|vector`` pins the device engine's execution
 tier for the whole benchmark session (default: leave the ambient choice —
 ``$REPRO_EXEC_TIER`` or the engine default — untouched).  Simulated times
 are tier-invariant, so figure output is identical either way; only the
@@ -25,7 +25,7 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--exec-tier", default=None,
-        choices=("interp", "compiled", "auto"),
+        choices=("interp", "compiled", "vector"),
         help="device-engine execution tier for all benchmarks "
              "(default: ambient $REPRO_EXEC_TIER / engine default)")
 

@@ -345,8 +345,8 @@ def main(argv=None) -> int:
                              "4 — explicit so single-CPU containers still "
                              "exercise the real pool)")
     parser.add_argument("--exec-tier", default=None,
-                        choices=("interp", "compiled", "vector", "auto",
-                                 "both", "all"),
+                        choices=("interp", "compiled", "vector", "both",
+                                 "all"),
                         metavar="TIER",
                         help="also run the execution smoke plan under this "
                              "device-engine tier; 'both' diffs compiled "

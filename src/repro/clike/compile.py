@@ -25,10 +25,10 @@ therefore mirrors the interpreter's observable quirks deliberately:
 Anything codegen cannot mirror faithfully raises
 :class:`CompileUnsupported` for that function; the failure propagates to
 callers, and affected kernels transparently fall back to the
-interpreter (the ``auto``/``compiled`` tiers are best-effort per
-kernel).  Counter flushes are batched per statement, so a run aborted by
-a mid-statement fault may differ in counters from the interpreter —
-counters of failed launches are never consumed.
+interpreter (the ``compiled`` tier is best-effort per kernel).  Counter
+flushes are batched per statement, so a run aborted by a mid-statement
+fault may differ in counters from the interpreter — counters of failed
+launches are never consumed.
 
 Known modeling divergence (documented, not observable in passing runs):
 the step budget is enforced per loop iteration per function invocation

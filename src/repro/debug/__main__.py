@@ -34,7 +34,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--device", default="titan",
                     help="device spec key (default: titan)")
     ap.add_argument("--exec-tier", default=None,
-                    choices=("interp", "compiled", "vector", "auto"),
+                    choices=("interp", "compiled", "vector"),
                     help="execution tier for the run (the debugged kernel "
                          "itself always drops to interp)")
     ap.add_argument("--script", default=None, metavar="FILE",

@@ -64,11 +64,10 @@ _SP_CONSTANT = T.AddressSpace.CONSTANT
 #: tiers: ``interp`` walks the AST per work-item (reference semantics);
 #: ``compiled`` lowers kernels to generated Python at module load;
 #: ``vector`` additionally executes eligible kernels one numpy-batched
-#: warp per step; ``auto`` compiles lazily at the first launch of each
-#: module (scalar code).  Every non-interp tier demotes per kernel down
-#: the ladder ``vector -> compiled -> interp`` when codegen does not
-#: cover a construct (DESIGN.md §9 and §11).
-_EXEC_TIERS = ("interp", "compiled", "vector", "auto")
+#: warp per step.  Every non-interp tier demotes per kernel down the
+#: ladder ``vector -> compiled -> interp`` when codegen does not cover a
+#: construct (DESIGN.md §9 and §11).
+_EXEC_TIERS = ("interp", "compiled", "vector")
 _EXEC_TIER_OVERRIDE: Optional[str] = None
 
 
@@ -181,7 +180,6 @@ class DeviceModule:
         #: ``compile_fallbacks``/``vector_fallbacks``: attaching the
         #: debugger to one kernel never changes how its siblings run.
         self.debug_demotions: Dict[str, str] = {}
-        self._compile_attempted = False
 
     def get_kernel(self, name: str) -> KernelObject:
         try:
@@ -243,8 +241,8 @@ def load_module(device: Device, unit: A.TranslationUnit,
         if fn.is_kernel and fn.body is not None:
             mod.kernels[fn.name] = KernelObject(fn.name, fn, mod)
     mod.exec_tier = resolve_exec_tier(exec_tier)
-    if mod.exec_tier in ("compiled", "vector"):
-        _compile_module(mod)  # eager; "auto" compiles at first launch
+    if mod.exec_tier != "interp":
+        _compile_module(mod)
     return mod
 
 
@@ -257,9 +255,6 @@ def _compile_module(mod: DeviceModule) -> None:
     through the interpreter.  Never raises: a codegen failure demotes the
     whole module to the interpreter.
     """
-    if mod._compile_attempted:
-        return
-    mod._compile_attempted = True
     from ..clike.compile import CODEGEN_VERSION, bind_unit, compile_unit
     from ..clike.printer import print_unit
     from ..clike.vectorize import bind_vector_unit
@@ -846,8 +841,6 @@ def _run_group(launch: _LaunchEnv, group: Tuple[int, int, int],
     launch.debug_driver = drv if debug else None
     entry = ventry = None
     if mod.exec_tier != "interp":
-        if not mod._compile_attempted:
-            _compile_module(mod)  # auto tier: compile at first launch
         entry = mod.compiled_entries.get(kernel.fn.name)
         if mod.exec_tier == "vector":
             ventry = mod.vector_entries.get(kernel.fn.name)
@@ -936,15 +929,6 @@ def _drive_group(launch: _LaunchEnv, programs: List[Any]) -> None:
     else:
         epochs = sched.run()
     launch.counters.barriers += epochs * sched.num_warps
-    if os.environ.get("REPRO_WARP_SPANS", "0") not in ("", "0"):
-        # per-warp epoch markers (default off: span differential tests
-        # compare kernel: sequences, and a span per warp per group is
-        # far too hot for production tracing)
-        tracer = get_tracer()
-        for w in range(sched.num_warps):
-            with tracer.span(f"warp:{launch.kernel.name}", warp=w,
-                             epochs=epochs, lanes=sched.num_lanes):
-                pass
 
 
 def _account_traces(launch: _LaunchEnv, threads: int, mode_bits: int) -> None:

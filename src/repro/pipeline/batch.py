@@ -318,8 +318,7 @@ def translate_many(jobs: Sequence[TranslationJob], *,
                    retries: Optional[int] = None,
                    backoff: Optional[float] = None,
                    fault_plan: Optional[FaultPlan] = None,
-                   trace: Optional[Tracer] = None,
-                   pool: Optional[Any] = None) -> List[JobResult]:
+                   trace: Optional[Tracer] = None) -> List[JobResult]:
     """Translate every job, returning per-job results in job order.
 
     Cache hits are served immediately (``cached=True``); the remaining
@@ -343,16 +342,6 @@ def translate_many(jobs: Sequence[TranslationJob], *,
     per pooled attempt with the worker's ``job``/``pass`` spans stitched
     underneath, and ``retry``/``timeout``/``crash``/``quarantine``
     events; it never changes the translated bytes.
-
-    ``pool`` is a *resident worker-pool host* (duck-typed; see
-    :class:`repro.service.pool.ResidentPool`): an object with
-    ``workers``, ``acquire() -> ProcessPoolExecutor`` and
-    ``report_damage(executor, terminate=...)``.  When given, the batch
-    borrows the host's long-lived executor instead of spinning up its own
-    pool — the per-batch process-creation cost that dominates short
-    requests disappears — and never shuts it down; broken or hung pools
-    are reported back so the host can recycle (self-heal) them.  Output
-    bytes are identical either way.
     """
     for job in jobs:
         if job.direction not in DIRECTIONS:
@@ -362,11 +351,10 @@ def translate_many(jobs: Sequence[TranslationJob], *,
     tracer = trace if trace is not None else get_tracer()
     with activate(tracer), \
             tracer.span("batch:translate_many", jobs=len(jobs),
-                        parallel=parallel,
-                        resident_pool=pool is not None) as root:
+                        parallel=parallel) as root:
         results = _translate_many_traced(jobs, cache, parallel, max_workers,
                                          timeout, retries, backoff,
-                                         fault_plan, tracer, pool)
+                                         fault_plan, tracer)
         ok = sum(1 for r in results if r.ok)
         cached = sum(1 for r in results if r.cached)
         root.set(ok=ok, cached=cached)
@@ -383,8 +371,7 @@ def _translate_many_traced(jobs: Sequence[TranslationJob],
                            timeout: Optional[float], retries: Optional[int],
                            backoff: Optional[float],
                            fault_plan: Optional[FaultPlan],
-                           tracer: Any,
-                           pool: Optional[Any] = None) -> List[JobResult]:
+                           tracer: Any) -> List[JobResult]:
     """The body of :func:`translate_many`, run under its root span."""
     if timeout is None:
         timeout = _env_float(TIMEOUT_ENV)
@@ -416,7 +403,7 @@ def _translate_many_traced(jobs: Sequence[TranslationJob],
         if pending:
             worked = _run_pending([jobs[i] for i in pending], parallel,
                                   max_workers, timeout, retries, backoff,
-                                  plan, pool)
+                                  plan)
             for i, res in zip(pending, worked):
                 results[i] = res
                 if cache is not None and res.ok:
@@ -438,16 +425,11 @@ def _translate_many_traced(jobs: Sequence[TranslationJob],
 def _run_pending(jobs: List[TranslationJob], parallel: bool,
                  max_workers: Optional[int], timeout: Optional[float],
                  retries: int, backoff: float,
-                 plan: Optional[FaultPlan],
-                 pool: Optional[Any] = None) -> List[JobResult]:
-    if pool is not None:
-        workers = max_workers or getattr(pool, "workers", None) \
-            or min(len(jobs), os.cpu_count() or 1, 8)
-    else:
-        workers = max_workers or min(len(jobs), os.cpu_count() or 1, 8)
+                 plan: Optional[FaultPlan]) -> List[JobResult]:
+    workers = max_workers or min(len(jobs), os.cpu_count() or 1, 8)
     if not parallel or len(jobs) < 2 or workers < 2:
         return [_run_serial_one(j, plan, retries, backoff) for j in jobs]
-    return _run_pooled(jobs, workers, timeout, retries, backoff, plan, pool)
+    return _run_pooled(jobs, workers, timeout, retries, backoff, plan)
 
 
 def _run_serial_one(job: TranslationJob, plan: Optional[FaultPlan],
@@ -502,19 +484,13 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 def _run_pooled(jobs: List[TranslationJob], workers: int,
                 timeout: Optional[float], retries: int, backoff: float,
-                plan: Optional[FaultPlan],
-                pool_host: Optional[Any] = None) -> List[JobResult]:
+                plan: Optional[FaultPlan]) -> List[JobResult]:
     """Per-future dispatch with per-job timeouts and transient retries.
 
     Rounds: each round owns one pool; a round ends when every dispatched
     future is harvested, timed out, or lost to a broken pool.  Jobs with
     transient failures and remaining retries carry over to the next round
     (with exponential backoff); completed results always survive.
-
-    With a ``pool_host`` the round *borrows* the host's resident executor
-    instead of creating one — it is never shut down here; damage (a broken
-    pool, hung futures that had to be terminated) is reported back so the
-    host recycles it before the next acquire.
 
     A dying worker breaks the whole pool, so every in-flight sibling of a
     crashing job shares its ``BrokenProcessPool`` — the culprit cannot be
@@ -537,25 +513,16 @@ def _run_pooled(jobs: List[TranslationJob], workers: int,
             time.sleep(min(backoff * 2 ** (round_no - 1), 1.0))
         round_no += 1
         progress = sum(dispatches) + sum(r is not None for r in results)
-        owns_pool = True
-        pool = None
-        if pool_host is not None:
-            try:
-                pool = pool_host.acquire()
-                owns_pool = False
-            except POOL_ENV_ERRORS:
-                pool = None             # host can't build one either
-        if pool is None:
-            try:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            except POOL_ENV_ERRORS:
-                # no subprocess/semaphore support here — serial keeps the
-                # batch deterministic, just slower
-                for i in pending:
-                    results[i] = _finish_serially(jobs[i], plan, retries,
-                                                  backoff, dispatches[i],
-                                                  history[i])
-                break
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except POOL_ENV_ERRORS:
+            # no subprocess/semaphore support here — serial keeps the
+            # batch deterministic, just slower
+            for i in pending:
+                results[i] = _finish_serially(jobs[i], plan, retries,
+                                              backoff, dispatches[i],
+                                              history[i])
+            break
 
         # windowed dispatch: never more futures in flight than workers, so
         # a submitted future is genuinely executing (its submit time is
@@ -672,14 +639,9 @@ def _run_pooled(jobs: List[TranslationJob], workers: int,
                                 jobs[i], "timeout", dispatches[i],
                                 history[i], timeout)
         finally:
-            if owns_pool:
-                if abandoned:
-                    _terminate_pool(pool)
-                pool.shutdown(wait=not abandoned, cancel_futures=True)
-            elif broken or abandoned:
-                # a borrowed resident pool we damaged: hand it back for
-                # recycling (terminating first when workers are hung)
-                pool_host.report_damage(pool, terminate=bool(abandoned))
+            if abandoned:
+                _terminate_pool(pool)
+            pool.shutdown(wait=not abandoned, cancel_futures=True)
 
         # jobs never dispatched (broken pool / all workers hung) carry
         # over without burning a retry; retried jobs already did

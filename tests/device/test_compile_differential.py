@@ -76,15 +76,6 @@ def test_kernel_span_counts_match(suite, name, mode):
     assert spans["vector"] == spans["interp"]
 
 
-def test_auto_tier_matches_interp():
-    """The ``auto`` tier (compile lazily, fall back per kernel) is also
-    output-identical on a real app."""
-    app = find_app("rodinia", "gaussian")
-    interp = _run(app, "ocl", "interp")
-    auto = _run(app, "ocl", "auto")
-    _assert_identical(interp, auto)
-
-
 # ---------------------------------------------------------------------------
 # demotion-chain coverage on real corpus kernels, one per fallback edge
 # ---------------------------------------------------------------------------

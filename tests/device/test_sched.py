@@ -350,7 +350,7 @@ __global__ void k(long* out) {
 """
 
 
-@pytest.mark.parametrize("tier", ["interp", "compiled", "auto"])
+@pytest.mark.parametrize("tier", ["interp", "compiled"])
 def test_ballot_partial_warp_regression(dev, tier):
     """``local_size`` not a multiple of the warp size: the trailing warp's
     ballot mask covers only its populated lanes."""

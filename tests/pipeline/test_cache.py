@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import threading
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.translate.api import (translate_cuda_program,
                                  translate_opencl_program)
 
 SRC = "__global__ void k(float* a) { a[threadIdx.x] = 1.0f; }"
+KEYS = [cache_key(f"__global__ void k{i}(int *p) {{}}", "cuda", None, "spec")
+        for i in range(20)]
 
 
 # -- keying -----------------------------------------------------------------
@@ -107,6 +111,12 @@ def test_disk_roundtrip_and_promotion(tmp_path):
     # promoted to memory: second get is a pure memory hit
     c2.get(key)
     assert c2.stats.disk_hits == 1 and c2.stats.hits == 2
+
+    # the tier is shared both ways between caches over one directory
+    for i, k in enumerate(KEYS):
+        c2.put(k, f"v{i}")
+    assert all(c1.get(k) == f"v{i}" for i, k in enumerate(KEYS))
+    assert c1.stats.disk_hits == len(KEYS)
 
 
 def test_disk_artifact_is_readable_json_with_sources(tmp_path):
@@ -251,7 +261,6 @@ def _old(path, rank):
 def _blob(tag, n=800):
     """Seeded *incompressible* payload (zlib squashes repeated chars to
     nothing, which would defeat any size-bound test)."""
-    import random
     return random.Random(tag).randbytes(n)
 
 
@@ -336,6 +345,77 @@ def test_disk_eviction_is_a_clean_miss_for_future_caches(tmp_path):
     fresh = TranslationCache(cache_dir=tmp_path, disk_limit_bytes=1300)
     assert fresh.get("aa1") is None           # evicted long ago
     assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
+
+
+@pytest.mark.parametrize("seed", [7, 4242])
+@pytest.mark.parametrize("disk", [True, False], ids=["disk", "memory"])
+def test_concurrent_storm(tmp_path, disk, seed):
+    """4 threads each commit entries in their own keyspace while reading
+    everyone's and invalidating and recommitting their own.  In memory
+    (capacity never pressed) every committed entry survives with its exact
+    value.  Over a small disk tier the tier ends the storm within its byte
+    bound, evictions surface on the counters, and every surviving artifact
+    still loads cleanly."""
+    limit = 16 * 1024
+    if disk:
+        cache = TranslationCache(capacity=8, cache_dir=tmp_path,
+                                 disk_limit_bytes=limit)
+    else:
+        cache = TranslationCache(capacity=2048)
+    n_threads, n_keys = 4, 30
+    payload = "x" * 600                     # artifact ends up ~1 KiB
+    spaces = [[cache_key(f"d{t}-{i}", "cuda", None, "s")
+               for i in range(n_keys)] for t in range(n_threads)]
+    all_keys = [k for space in spaces for k in space]
+    errors = []
+    start = threading.Barrier(n_threads)
+
+    def worker(t: int) -> None:
+        rng = random.Random(seed * 77 + t)
+        try:
+            start.wait()
+            for i, k in enumerate(spaces[t]):
+                cache.put(k, payload + k)
+                probe = rng.choice(all_keys)
+                got = cache.get(probe)
+                if got is not None and got != payload + probe:
+                    errors.append(f"wrong value for {probe}")
+                if i % 7 == 0:              # invalidate+recommit my own
+                    victim = rng.choice(spaces[t])
+                    cache.invalidate(victim)
+                    cache.put(victim, payload + victim)
+        except Exception as e:              # pragma: no cover
+            errors.append(repr(e))
+
+    threads = [threading.Thread(target=worker, args=(t,))
+               for t in range(n_threads)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors
+
+    if not disk:
+        for k in all_keys:                  # nothing committed was lost
+            assert cache.get(k) == payload + k
+        assert cache.stats.evictions == 0
+        assert len(cache) == len(all_keys)
+        return
+
+    tier = cache.disk_tier
+    on_disk = sum(p.stat().st_size for p in tmp_path.glob("*/*.json"))
+    assert on_disk <= limit                 # the bound held
+    assert tier.total_bytes() == on_disk    # accounting is exact
+    assert tier.evictions > 0               # and the churn was visible
+    assert tier.snapshot()["evictions"] == tier.evictions
+
+    # survivors are readable by a fresh cache over the same directory
+    fresh = TranslationCache(cache_dir=tmp_path)
+    survivors = [p.stem for p in tmp_path.glob("*/*.json")]
+    assert survivors
+    for key in survivors:
+        got = fresh.get(key)
+        assert got is not None and got.endswith(key)
 
 
 def test_disk_evictions_surface_on_metrics():
